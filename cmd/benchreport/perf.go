@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/netip"
 	"os"
 	"runtime"
@@ -66,7 +65,7 @@ type perfSnapshot struct {
 	// The rollover ingest-stall (exclusive-lock hold during the buffer
 	// swap) vs the background pipeline duration it used to contain.
 	RolloverPauseMicros int64 `json:"rolloverPauseMicros"`
-	DayCloseMillis      int64 `json:"dayCloseMillis"`
+	DayCloseMicros      int64 `json:"dayCloseMicros"`
 
 	// The decode path in isolation over one encoded day fragment with
 	// realistic value cardinality: the zero-copy batch reader (warm
@@ -83,17 +82,13 @@ type perfSnapshot struct {
 	DecodeFastAllocsPerRec float64 `json:"decodeFastAllocsPerRecord"`
 	EncodeAppendMBPerS     float64 `json:"encodeAppendMBPerS"`
 
-	// Checkpoint format comparison over one high-volume open day: legacy v1
-	// (raw-record replay, size proportional to traffic volume) vs v2
-	// (domain-keyed builder frames, size proportional to distinct
+	// Checkpoint encode and restore over one high-volume open day (format
+	// v2: domain-keyed builder frames, size proportional to distinct
 	// (host, domain) state; restore re-partitions instead of replaying
-	// per-record work).
+	// per-record work). BENCH_PR5–PR10 also record the retired v1 writer.
 	CheckpointRecords     int     `json:"checkpointRecords"`
-	CheckpointV1Bytes     int64   `json:"checkpointV1Bytes"`
 	CheckpointV2Bytes     int64   `json:"checkpointV2Bytes"`
-	CheckpointV1EncodeMs  float64 `json:"checkpointV1EncodeMs"`
 	CheckpointV2EncodeMs  float64 `json:"checkpointV2EncodeMs"`
-	CheckpointV1RestoreMs float64 `json:"checkpointV1RestoreMs"`
 	CheckpointV2RestoreMs float64 `json:"checkpointV2RestoreMs"`
 
 	// Apply-path metrics: the single-shard batched fold (ingest routed,
@@ -350,7 +345,7 @@ func perfIngestToReport(snap *perfSnapshot) error {
 			if pipelined && decode == decodeNone {
 				st := e.Stats()
 				snap.RolloverPauseMicros = st.LastRolloverPauseMicros
-				snap.DayCloseMillis = st.LastDayCloseMillis
+				snap.DayCloseMicros = st.LastDayCloseMicros
 			}
 			if err := e.Close(); err != nil {
 				return 0, err
@@ -561,9 +556,9 @@ func perfApply(snap *perfSnapshot) error {
 	return nil
 }
 
-// perfCheckpoint prices checkpoint encode and restore in both formats over
-// the same high-volume open day (many records over a bounded working set of
-// (host, domain) pairs — the shape where the v2 builder encoding wins).
+// perfCheckpoint prices checkpoint encode and restore over a high-volume
+// open day (many records over a bounded working set of (host, domain)
+// pairs — the shape where the domain-keyed v2 encoding wins).
 func perfCheckpoint(snap *perfSnapshot) error {
 	const perDay = 40000
 	snap.CheckpointRecords = perDay
@@ -593,45 +588,31 @@ func perfCheckpoint(snap *perfSnapshot) error {
 		}
 	}
 
-	type format struct {
-		encode    func(w io.Writer) error
-		bytes     *int64
-		encodeMs  *float64
-		restoreMs *float64
-	}
-	formats := []format{
-		{func(w io.Writer) error { return e.CheckpointV1(w, recs) },
-			&snap.CheckpointV1Bytes, &snap.CheckpointV1EncodeMs, &snap.CheckpointV1RestoreMs},
-		{func(w io.Writer) error { return e.Checkpoint(w) },
-			&snap.CheckpointV2Bytes, &snap.CheckpointV2EncodeMs, &snap.CheckpointV2RestoreMs},
-	}
-	for _, f := range formats {
-		var buf bytes.Buffer
-		var encRuns, resRuns []time.Duration
-		for r := 0; r < perfRounds; r++ {
-			buf.Reset()
-			start := time.Now()
-			if err := f.encode(&buf); err != nil {
-				return err
-			}
-			encRuns = append(encRuns, time.Since(start))
-
-			start = time.Now()
-			restored, err := stream.Restore(bytes.NewReader(buf.Bytes()),
-				stream.Config{Shards: 4, QueueDepth: 8192}, stream.RestoreDeps{})
-			if err != nil {
-				return err
-			}
-			_ = restored.Stats() // quiesce: include any queued replay work
-			resRuns = append(resRuns, time.Since(start))
-			if err := restored.Close(); err != nil {
-				return err
-			}
+	var buf bytes.Buffer
+	var encRuns, resRuns []time.Duration
+	for r := 0; r < perfRounds; r++ {
+		buf.Reset()
+		start := time.Now()
+		if err := e.Checkpoint(&buf); err != nil {
+			return err
 		}
-		*f.bytes = int64(buf.Len())
-		*f.encodeMs = medianMs(encRuns)
-		*f.restoreMs = medianMs(resRuns)
+		encRuns = append(encRuns, time.Since(start))
+
+		start = time.Now()
+		restored, err := stream.Restore(bytes.NewReader(buf.Bytes()),
+			stream.Config{Shards: 4, QueueDepth: 8192}, stream.RestoreDeps{})
+		if err != nil {
+			return err
+		}
+		_ = restored.Stats() // quiesce: include any queued restore work
+		resRuns = append(resRuns, time.Since(start))
+		if err := restored.Close(); err != nil {
+			return err
+		}
 	}
+	snap.CheckpointV2Bytes = int64(buf.Len())
+	snap.CheckpointV2EncodeMs = medianMs(encRuns)
+	snap.CheckpointV2RestoreMs = medianMs(resRuns)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -14,8 +15,8 @@ import (
 // proportional to distinct (host, domain) state rather than traffic
 // volume) and the merged Snapshot of a day whose close is in flight.
 //
-// Both follow the persist.go conventions: line-delimited JSON through a
-// caller-supplied encoder/decoder, a header record carrying the section's
+// Both follow the persist.go conventions: line-delimited JSON written to a
+// caller-supplied bufio.Writer and read through a caller-supplied decoder, a header record carrying the section's
 // record counts so the section is self-delimiting, and streaming record-by-
 // record so multi-million entry days never materialize as one value. The
 // decoders are paranoid — a checkpoint is adversarial input after a crash —
@@ -60,16 +61,6 @@ type uaPairRec struct {
 	UA   string `json:"ua"`
 }
 
-func encodeHostActivity(ha *HostActivity) codecHost {
-	ch := codecHost{Host: ha.Host, Times: ha.Times, NoRef: ha.NoRefVisits}
-	ch.UAs = make([]string, 0, len(ha.UAs))
-	for ua := range ha.UAs {
-		ch.UAs = append(ch.UAs, ua)
-	}
-	sort.Strings(ch.UAs)
-	return ch
-}
-
 func decodeHostActivity(ch codecHost) (*HostActivity, error) {
 	if len(ch.Times) == 0 {
 		return nil, fmt.Errorf("host %q has no connection times", ch.Host)
@@ -89,19 +80,20 @@ func decodeHostActivity(ch codecHost) (*HostActivity, error) {
 	return ha, nil
 }
 
-// SaveTo streams the builder through an existing encoder as one
-// self-delimiting section: a header, one record per domain (its aggregate
-// keyed by arrival seq, exactly the order-sensitive state the merge at
-// day-close needs), and one record per (host, UA) pair. Like
-// History.SaveTo, records are emitted in sorted key order, so the byte
-// output is deterministic for a given logical builder state.
-func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
-	if err := enc.Encode(builderHeader{
-		Version: builderCodecVersion,
-		Visits:  b.visits,
-		Domains: len(b.perDomain),
-		UAPairs: len(b.uaPairs),
-	}); err != nil {
+// SaveTo writes the builder to bw as one self-delimiting section: a
+// header, one record per domain (its aggregate keyed by arrival seq,
+// exactly the order-sensitive state the merge at day-close needs), and one
+// record per (host, UA) pair. Like History.SaveTo, records are emitted in
+// sorted key order, so the byte output is deterministic for a given
+// logical builder state, and each line is the one json.Encoder would emit
+// for the section's record struct. The caller flushes bw.
+func (b *IncrementalBuilder) SaveTo(bw *bufio.Writer) error {
+	w := newLineWriter(bw)
+	w.int(`{"version":`, builderCodecVersion)
+	w.int(`,"visits":`, b.visits)
+	w.int(`,"domains":`, len(b.perDomain))
+	w.int(`,"uaPairs":`, len(b.uaPairs))
+	if err := w.end(); err != nil {
 		return fmt.Errorf("profile: save builder header: %w", err)
 	}
 	domains := make([]string, 0, len(b.perDomain))
@@ -111,32 +103,38 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 	sort.Strings(domains)
 	for _, d := range domains {
 		a := b.perDomain[d]
-		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: a.paths}
-		if a.ip.IsValid() {
-			rec.IP = a.ip.String()
+		w.str(`{"d":`, d)
+		w.ip(a.ip)
+		if a.ipSeq != 0 {
+			w.uint(`,"ipSeq":`, a.ipSeq)
 		}
-		rec.Hosts = encodeHostMap(a.hosts)
-		if err := enc.Encode(rec); err != nil {
+		if len(a.paths) > 0 {
+			w.strs = w.strs[:0]
+			for p := range a.paths {
+				w.strs = append(w.strs, p)
+			}
+			sort.Strings(w.strs)
+			w.b = append(w.b, `,"paths":{`...)
+			for i, p := range w.strs {
+				if i > 0 {
+					w.b = append(w.b, ',')
+				}
+				w.str("", p)
+				w.uint(":", a.paths[p])
+			}
+			w.b = append(w.b, '}')
+		}
+		if err := w.hosts(a.hosts); err != nil {
+			return fmt.Errorf("profile: save builder domain: %w", err)
+		}
+		if err := w.end(); err != nil {
 			return fmt.Errorf("profile: save builder domain: %w", err)
 		}
 	}
-	for _, pair := range sortedUAPairs(b.uaPairs) {
-		if err := enc.Encode(uaPairRec{Host: pair[0], UA: pair[1]}); err != nil {
-			return fmt.Errorf("profile: save builder ua pair: %w", err)
-		}
+	if err := w.uaPairs(b.uaPairs); err != nil {
+		return fmt.Errorf("profile: save builder ua pair: %w", err)
 	}
 	return nil
-}
-
-// encodeHostMap renders a host-activity map as codec records in host order,
-// so the encoded bytes do not depend on map iteration.
-func encodeHostMap(hosts map[string]*HostActivity) []codecHost {
-	out := make([]codecHost, 0, len(hosts))
-	for _, ha := range hosts {
-		out = append(out, encodeHostActivity(ha))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out
 }
 
 // sortedUAPairs returns the (host, UA) pair set in lexicographic order.
@@ -371,24 +369,28 @@ type snapshotRareRec struct {
 	Hosts  []codecHost `json:"hosts"`
 }
 
-// SaveTo streams the classified snapshot through an existing encoder as one
-// self-delimiting section — the checkpoint shape of a day whose close is in
-// flight: the merge already consumed the per-shard partials, so the merged
-// snapshot itself is the day's persistent form. SaveTo only reads the
-// snapshot, so it is safe to run concurrently with the close's pure
-// analytics stages over the same snapshot. Records are emitted in sorted
-// key order, so the byte output is deterministic for a given logical
-// snapshot regardless of how many shards or merge workers built it.
-func (s *Snapshot) SaveTo(enc *json.Encoder) error {
-	if err := enc.Encode(snapshotHeader{
-		Version:    snapshotCodecVersion,
-		Day:        s.Day,
-		NewDomains: s.NewDomains,
-		AllDomains: s.AllDomains,
-		Domains:    len(s.domains),
-		UAPairs:    len(s.uaPairs),
-		Rare:       len(s.Rare),
-	}); err != nil {
+// SaveTo writes the classified snapshot to bw as one self-delimiting
+// section — the checkpoint shape of a day whose close is in flight: the
+// merge already consumed the per-shard partials, so the merged snapshot
+// itself is the day's persistent form. SaveTo only reads the snapshot, so
+// it is safe to run concurrently with the close's pure analytics stages
+// over the same snapshot. Records are emitted in sorted key order, so the
+// byte output is deterministic for a given logical snapshot regardless of
+// how many shards or merge workers built it; each line is the one
+// json.Encoder would emit for the section's record struct. The caller
+// flushes bw.
+func (s *Snapshot) SaveTo(bw *bufio.Writer) error {
+	w := newLineWriter(bw)
+	w.int(`{"version":`, snapshotCodecVersion)
+	if err := w.time(`,"day":`, s.Day); err != nil {
+		return fmt.Errorf("profile: save snapshot header: %w", err)
+	}
+	w.int(`,"newDomains":`, s.NewDomains)
+	w.int(`,"allDomains":`, s.AllDomains)
+	w.int(`,"domains":`, len(s.domains))
+	w.int(`,"uaPairs":`, len(s.uaPairs))
+	w.int(`,"rare":`, len(s.Rare))
+	if err := w.end(); err != nil {
 		return fmt.Errorf("profile: save snapshot header: %w", err)
 	}
 	// s.domains arrives in merge-completion order, which varies with the
@@ -396,14 +398,13 @@ func (s *Snapshot) SaveTo(enc *json.Encoder) error {
 	domains := append([]string(nil), s.domains...)
 	sort.Strings(domains)
 	for _, d := range domains {
-		if err := enc.Encode(snapshotDomainRec{Domain: d}); err != nil {
+		w.str(`{"d":`, d)
+		if err := w.end(); err != nil {
 			return fmt.Errorf("profile: save snapshot domain: %w", err)
 		}
 	}
-	for _, pair := range sortedUAPairs(s.uaPairs) {
-		if err := enc.Encode(uaPairRec{Host: pair[0], UA: pair[1]}); err != nil {
-			return fmt.Errorf("profile: save snapshot ua pair: %w", err)
-		}
+	if err := w.uaPairs(s.uaPairs); err != nil {
+		return fmt.Errorf("profile: save snapshot ua pair: %w", err)
 	}
 	rare := make([]string, 0, len(s.Rare))
 	for d := range s.Rare {
@@ -412,16 +413,20 @@ func (s *Snapshot) SaveTo(enc *json.Encoder) error {
 	sort.Strings(rare)
 	for _, d := range rare {
 		da := s.Rare[d]
-		rec := snapshotRareRec{Domain: d}
-		if da.IP.IsValid() {
-			rec.IP = da.IP.String()
+		w.str(`{"d":`, d)
+		w.ip(da.IP)
+		if len(da.Paths) > 0 {
+			w.strs = w.strs[:0]
+			for p := range da.Paths {
+				w.strs = append(w.strs, p)
+			}
+			sort.Strings(w.strs)
+			w.strList(`,"paths":`, w.strs)
 		}
-		for p := range da.Paths {
-			rec.Paths = append(rec.Paths, p)
+		if err := w.hosts(da.Hosts); err != nil {
+			return fmt.Errorf("profile: save snapshot rare %q: %w", d, err)
 		}
-		sort.Strings(rec.Paths)
-		rec.Hosts = encodeHostMap(da.Hosts)
-		if err := enc.Encode(rec); err != nil {
+		if err := w.end(); err != nil {
 			return fmt.Errorf("profile: save snapshot rare %q: %w", d, err)
 		}
 	}

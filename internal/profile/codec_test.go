@@ -84,8 +84,7 @@ func TestBuilderCodecRoundTrip(t *testing.T) {
 	b := buildFromVisits(codecVisits(900))
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	enc := json.NewEncoder(bw)
-	if err := b.SaveTo(enc); err != nil {
+	if err := b.SaveTo(bw); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -165,8 +164,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	enc := json.NewEncoder(bw)
-	if err := s.SaveTo(enc); err != nil {
+	if err := s.SaveTo(bw); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

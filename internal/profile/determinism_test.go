@@ -1,8 +1,8 @@
 package profile
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,8 +20,12 @@ import (
 func encodeBuilder(t *testing.T, b *IncrementalBuilder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := b.SaveTo(json.NewEncoder(&buf)); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := b.SaveTo(bw); err != nil {
 		t.Fatalf("builder SaveTo: %v", err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -29,8 +33,12 @@ func encodeBuilder(t *testing.T, b *IncrementalBuilder) []byte {
 func encodeSnapshot(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.SaveTo(json.NewEncoder(&buf)); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := s.SaveTo(bw); err != nil {
 		t.Fatalf("snapshot SaveTo: %v", err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }

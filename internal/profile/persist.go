@@ -41,24 +41,26 @@ const persistVersion = 1
 // diffable and content-addressable).
 func (h *History) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := h.SaveTo(json.NewEncoder(bw)); err != nil {
+	if err := h.SaveTo(bw); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// SaveTo writes the history through an existing encoder, so callers can
-// embed the history as one section of a larger line-delimited stream (the
-// streaming engine's checkpoints do).
-func (h *History) SaveTo(enc *json.Encoder) error {
+// SaveTo writes the history as one section of a larger line-delimited
+// stream (the streaming engine's checkpoints embed it): the bytes
+// json.Encoder would emit for persistHeader, then one persistDomain per
+// domain and one persistUA per user agent, built without reflection in one
+// reused line buffer. The caller flushes bw.
+func (h *History) SaveTo(bw *bufio.Writer) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if err := enc.Encode(persistHeader{
-		Version: persistVersion,
-		Days:    h.days,
-		Domains: len(h.domains),
-		UAs:     len(h.uaHosts),
-	}); err != nil {
+	w := newLineWriter(bw)
+	w.int(`{"version":`, persistVersion)
+	w.int(`,"days":`, h.days)
+	w.int(`,"domains":`, len(h.domains))
+	w.int(`,"uas":`, len(h.uaHosts))
+	if err := w.end(); err != nil {
 		return fmt.Errorf("profile: save header: %w", err)
 	}
 	domains := make([]string, 0, len(h.domains))
@@ -67,7 +69,11 @@ func (h *History) SaveTo(enc *json.Encoder) error {
 	}
 	sort.Strings(domains)
 	for _, d := range domains {
-		if err := enc.Encode(persistDomain{D: d, T: h.domains[d]}); err != nil {
+		w.str(`{"d":`, d)
+		if err := w.time(`,"t":`, h.domains[d]); err != nil {
+			return fmt.Errorf("profile: save domain: %w", err)
+		}
+		if err := w.end(); err != nil {
 			return fmt.Errorf("profile: save domain: %w", err)
 		}
 	}
@@ -77,13 +83,14 @@ func (h *History) SaveTo(enc *json.Encoder) error {
 	}
 	sort.Strings(uas)
 	for _, ua := range uas {
-		hosts := h.uaHosts[ua]
-		rec := persistUA{UA: ua, Hosts: make([]string, 0, len(hosts))}
-		for host := range hosts {
-			rec.Hosts = append(rec.Hosts, host)
+		w.str(`{"ua":`, ua)
+		w.strs = w.strs[:0]
+		for host := range h.uaHosts[ua] {
+			w.strs = append(w.strs, host)
 		}
-		sort.Strings(rec.Hosts)
-		if err := enc.Encode(rec); err != nil {
+		sort.Strings(w.strs)
+		w.strList(`,"hosts":`, w.strs)
+		if err := w.end(); err != nil {
 			return fmt.Errorf("profile: save ua: %w", err)
 		}
 	}

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/netip"
 	"sort"
+	"strconv"
 	"time"
 
+	"repro/internal/appendjson"
 	"repro/internal/histogram"
 	"repro/internal/logs"
 	"repro/internal/normalize"
@@ -29,8 +31,11 @@ import (
 // batch byte-for-byte.
 //
 // The format is one line-delimited JSON stream with self-delimiting
-// sections, shared through a single encoder/decoder so multi-million entry
-// histories never materialize as one value:
+// sections, written through one buffered writer and read through one
+// decoder, so multi-million entry histories never materialize as one
+// value. The bulk sections are appended record by record without
+// reflection (internal/appendjson), byte-identical to what json.Encoder
+// emits for the record structs the decoders read:
 //
 //	header       checkpointHeader (carries all section counts)
 //	history      profile.History.SaveTo
@@ -49,7 +54,8 @@ import (
 // are proportional to the day's distinct (host, domain) state rather than
 // its traffic volume, and no arrival-order raw visit buffer needs to exist
 // anywhere in the engine. v1 checkpoints (raw-item replay) are still
-// accepted on restore; the next checkpoint rewrites them as v2.
+// accepted on restore (nothing in production writes them any more); the
+// next checkpoint rewrites them as v2.
 //
 // Shard count is deliberately not part of the state: builder frames are
 // domain-keyed and re-partitioned by hash on restore (v1 items are
@@ -211,9 +217,11 @@ func (e *Engine) dailiesLocked() []checkpointDaily {
 // parked merged snapshot is serialized as its own section and a restore
 // re-runs the close from it, republishing the same reports. Checkpoint
 // waits only for the close's two short non-serializable windows — the
-// partial-snapshot merge and the state-mutating commit tail. A close that
-// failed and awaits retry still makes the engine unrepresentable;
-// Checkpoint refuses until a Flush retries it.
+// partial-snapshot merge and the state-mutating commit tail — and a close
+// ready to commit waits for the checkpoint only until history,
+// calibration and the closing day are written, not for the open day. A
+// close that failed and awaits retry still makes the engine
+// unrepresentable; Checkpoint refuses until a Flush retries it.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	for {
@@ -244,7 +252,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	}
 	closing := e.closing // nil, or a close parked in its analyzing phase
 
-	// The timer starts after the close waits above, so LastCheckpointMillis
+	// The timer starts after the close waits above, so LastCheckpointMicros
 	// measures the checkpoint itself (clone + encode), not a pipeline run
 	// it happened to queue behind.
 	start := time.Now()
@@ -299,83 +307,28 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		})
 	}
 
-	// Hold the commit gate across the encode: the in-flight close (and any
-	// close that starts meanwhile) blocks at its pre-commit hook instead of
-	// mutating history or calibration mid-encode. Taking the read side here
-	// cannot block — a committing-phase close was waited out above, and no
-	// close can reach its hook while we hold mu.
+	// Hold the commit gate while the sections a commit can mutate are
+	// written: the in-flight close (and any close that starts meanwhile)
+	// blocks at its pre-commit hook instead of mutating history or
+	// calibration, or releasing the closing snapshot, mid-encode. Taking the
+	// read side here cannot block — a committing-phase close was waited out
+	// above, and no close can reach its hook while we hold mu. The open-day
+	// sections encode the private clones taken above, so they run after the
+	// gate is released and a close that is ready to commit does not wait
+	// for them.
 	e.commitGate.RLock()
 	e.mu.Unlock()
-	defer e.commitGate.RUnlock()
 
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("stream: checkpoint header: %w", err)
-	}
-	if err := e.hist.SaveTo(enc); err != nil {
-		return fmt.Errorf("stream: checkpoint history: %w", err)
-	}
-	if err := enc.Encode(cal); err != nil {
-		return fmt.Errorf("stream: checkpoint calibration: %w", err)
-	}
-	for _, cd := range dailies {
-		if err := enc.Encode(cd); err != nil {
-			return fmt.Errorf("stream: checkpoint daily %s: %w", cd.Date, err)
-		}
-	}
-	if closing != nil {
-		if err := enc.Encode(checkpointClosing{
-			Date:      closing.date,
-			Day:       closing.day,
-			Records:   closing.records,
-			DroppedIP: closing.droppedIP,
-			Training:  closing.training,
-			Stats:     closing.stats,
-		}); err != nil {
-			return fmt.Errorf("stream: checkpoint closing day: %w", err)
-		}
-		if err := closing.snap.SaveTo(enc); err != nil {
-			return fmt.Errorf("stream: checkpoint closing snapshot: %w", err)
-		}
+	err := e.writeCommitted(bw, hdr, cal, dailies, closing)
+	e.commitGate.RUnlock()
+	if err != nil {
+		return err
 	}
 	if hdr.Day != "" {
-		// Merge the per-shard clones into one domain-keyed builder so every
-		// domain appears exactly once regardless of the shard count.
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			merged.MergeFrom(p)
-		}
-		var markers []string
-		for _, set := range alls {
-			for d := range set {
-				if !merged.HasDomain(d) {
-					markers = append(markers, d)
-				}
-			}
-		}
-		// Sort so identical engine state writes identical checkpoint bytes
-		// (the per-shard sets shard-partition the domains, so there are no
-		// cross-set duplicates to worry about).
-		sort.Strings(markers)
-		if err := enc.Encode(checkpointOpenDay{
-			MarkerDomains: len(markers), Unresolved: unresolved, LivePairs: len(livePairs),
-		}); err != nil {
-			return fmt.Errorf("stream: checkpoint open day: %w", err)
-		}
-		if err := merged.SaveTo(enc); err != nil {
-			return fmt.Errorf("stream: checkpoint builder: %w", err)
-		}
-		for _, d := range markers {
-			if err := enc.Encode(checkpointDomain{D: d}); err != nil {
-				return fmt.Errorf("stream: checkpoint marker domain: %w", err)
-			}
-		}
-		for _, lp := range livePairs {
-			if err := enc.Encode(lp); err != nil {
-				return fmt.Errorf("stream: checkpoint live pair: %w", err)
-			}
+		if err := writeOpenDay(bw, parts, alls, unresolved, livePairs); err != nil {
+			return err
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -386,66 +339,19 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// CheckpointV1 writes the legacy format-1 checkpoint, whose open-day
-// section is the raw records for replay. The engine no longer buffers raw
-// visits, so the caller must supply the open day's records in ingestion
-// order (openDay length must match the engine's open-day record count; any
-// backpressure rejections must not have split a batch). Retained for the
-// v1→v2 migration tests and the format-comparison benchmarks — production
-// checkpoints are v2 (Checkpoint). Waits out any in-flight close, as the
-// v1 format cannot represent one.
-func (e *Engine) CheckpointV1(w io.Writer, openDay []logs.ProxyRecord) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.awaitCloseLocked()
-	if e.closed {
-		return ErrClosed
-	}
-	if e.failed != nil {
-		return fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
-	}
-	if uint64(len(openDay)) != e.dayRecords.Load() {
-		return fmt.Errorf("stream: checkpoint v1: caller supplied %d open-day records, engine ingested %d",
-			len(openDay), e.dayRecords.Load())
-	}
-
-	// Re-reduce the records exactly as the ingest path did. Seqs are
-	// re-assigned densely from 1 — the builder's order-sensitive state
-	// depends only on relative order, which matches arrival order here, and
-	// every seq stays at or below the header watermark because each record
-	// consumed one live seq.
-	var items []checkpointItem
-	for i := range openDay {
-		v, folded, outcome := normalize.ReduceProxyRecord(openDay[i], e.leases)
-		seq := uint64(i + 1)
-		switch outcome {
-		case normalize.ProxyDroppedIPLiteral:
-		case normalize.ProxyDroppedUnresolved:
-			items = append(items, checkpointItem{Seq: seq, Domain: folded})
-		default:
-			vv := v
-			items = append(items, checkpointItem{Seq: seq, Visit: &vv})
-		}
-	}
-
-	hdr := e.headerLocked()
-	hdr.Version = checkpointVersionV1
-	dailies := e.dailiesLocked()
-	hdr.Dailies = len(dailies)
-	hdr.Items = len(items)
-
-	bw := bufio.NewWriter(w)
+// writeCommitted writes the checkpoint sections a day-close commit can
+// change — header, history, calibration, completed dailies and the closing
+// day — to bw. Caller holds commitGate's read side.
+func (e *Engine) writeCommitted(bw *bufio.Writer, hdr checkpointHeader, cal pipeline.CalibrationState,
+	dailies []checkpointDaily, closing *dayClose) error {
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("stream: checkpoint header: %w", err)
 	}
-	if err := e.hist.SaveTo(enc); err != nil {
+	if err := e.hist.SaveTo(bw); err != nil {
 		return fmt.Errorf("stream: checkpoint history: %w", err)
 	}
-	if err := enc.Encode(e.pipe.ExportCalibration()); err != nil {
+	if err := enc.Encode(cal); err != nil {
 		return fmt.Errorf("stream: checkpoint calibration: %w", err)
 	}
 	for _, cd := range dailies {
@@ -453,12 +359,115 @@ func (e *Engine) CheckpointV1(w io.Writer, openDay []logs.ProxyRecord) error {
 			return fmt.Errorf("stream: checkpoint daily %s: %w", cd.Date, err)
 		}
 	}
-	for _, it := range items {
-		if err := enc.Encode(it); err != nil {
-			return fmt.Errorf("stream: checkpoint item: %w", err)
+	if closing == nil {
+		return nil
+	}
+	if err := enc.Encode(checkpointClosing{
+		Date:      closing.date,
+		Day:       closing.day,
+		Records:   closing.records,
+		DroppedIP: closing.droppedIP,
+		Training:  closing.training,
+		Stats:     closing.stats,
+	}); err != nil {
+		return fmt.Errorf("stream: checkpoint closing day: %w", err)
+	}
+	if err := closing.snap.SaveTo(bw); err != nil {
+		return fmt.Errorf("stream: checkpoint closing snapshot: %w", err)
+	}
+	return nil
+}
+
+// writeOpenDay writes the open-day sections from the per-shard clones a
+// checkpoint took under the engine freeze: the section header, the merged
+// builder, the marker domains and the live pairs. It touches no engine
+// state, so it needs no lock.
+func writeOpenDay(bw *bufio.Writer, parts []*profile.IncrementalBuilder, alls []map[string]struct{},
+	unresolved int, livePairs []checkpointLivePair) error {
+	// Merge the per-shard clones into one domain-keyed builder so every
+	// domain appears exactly once regardless of the shard count.
+	merged := parts[0]
+	for _, p := range parts[1:] {
+		merged.MergeFrom(p)
+	}
+	var markers []string
+	for _, set := range alls {
+		for d := range set {
+			if !merged.HasDomain(d) {
+				markers = append(markers, d)
+			}
 		}
 	}
-	return bw.Flush()
+	// Sort so identical engine state writes identical checkpoint bytes
+	// (the per-shard sets shard-partition the domains, so there are no
+	// cross-set duplicates to worry about).
+	sort.Strings(markers)
+	if err := json.NewEncoder(bw).Encode(checkpointOpenDay{
+		MarkerDomains: len(markers), Unresolved: unresolved, LivePairs: len(livePairs),
+	}); err != nil {
+		return fmt.Errorf("stream: checkpoint open day: %w", err)
+	}
+	if err := merged.SaveTo(bw); err != nil {
+		return fmt.Errorf("stream: checkpoint builder: %w", err)
+	}
+	line := make([]byte, 0, 256)
+	for _, d := range markers {
+		line = appendMarkerDomain(line[:0], d)
+		if _, err := bw.Write(line); err != nil {
+			return fmt.Errorf("stream: checkpoint marker domain: %w", err)
+		}
+	}
+	for i := range livePairs {
+		var err error
+		if line, err = appendLivePair(line[:0], &livePairs[i]); err != nil {
+			return fmt.Errorf("stream: checkpoint live pair: %w", err)
+		}
+		if _, err := bw.Write(line); err != nil {
+			return fmt.Errorf("stream: checkpoint live pair: %w", err)
+		}
+	}
+	return nil
+}
+
+// appendMarkerDomain appends the line json.Encoder writes for
+// checkpointDomain{D: d}.
+func appendMarkerDomain(b []byte, d string) []byte {
+	b = appendjson.String(append(b, `{"d":`...), d)
+	return append(b, "}\n"...)
+}
+
+// appendLivePair appends the line json.Encoder writes for lp, field for
+// field as checkpointLivePair and histogram.OnlineState declare them; the
+// differential test holds the two byte for byte. A state MarshalJSON or
+// encoding/json would refuse (an unrepresentable time, a non-finite hub)
+// returns the error instead.
+func appendLivePair(b []byte, lp *checkpointLivePair) ([]byte, error) {
+	b = appendjson.String(append(b, `{"h":`...), lp.Host)
+	b = appendjson.String(append(b, `,"d":`...), lp.Domain)
+	b, err := appendjson.Time(append(b, `,"s":{"last":`...), lp.State.Last)
+	if err != nil {
+		return b, err
+	}
+	if len(lp.State.Bins) > 0 {
+		b = append(b, `,"bins":[`...)
+		for i, bin := range lp.State.Bins {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendjson.Float(append(b, `{"Hub":`...), bin.Hub); err != nil {
+				return b, err
+			}
+			b = strconv.AppendInt(append(b, `,"Count":`...), int64(bin.Count), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"total":`...), int64(lp.State.Total), 10)
+	b = strconv.AppendInt(append(b, `,"conns":`...), int64(lp.State.Conns), 10)
+	if lp.State.OutOfOrder != 0 {
+		b = strconv.AppendInt(append(b, `,"ooo":`...), int64(lp.State.OutOfOrder), 10)
+	}
+	return append(b, "}}\n"...), nil
 }
 
 // RestoreDeps supplies the runtime dependencies a restored pipeline needs —

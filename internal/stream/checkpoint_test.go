@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/logs"
+	"repro/internal/normalize"
 )
 
 // decodeCheckpointHeader reads the first line of a checkpoint for the
@@ -23,6 +27,81 @@ func decodeCheckpointHeader(t *testing.T, data []byte) checkpointHeader {
 		t.Fatalf("checkpoint header: %v", err)
 	}
 	return hdr
+}
+
+// CheckpointV1 writes a legacy format-1 checkpoint, whose open-day section
+// is the raw records for replay — the fixture the v1→v2 migration test and
+// the format-comparison test and benchmark feed to Restore, whose v1
+// reader stays in production. The engine no longer buffers raw visits, so
+// the caller must supply the open day's records in ingestion order
+// (openDay length must match the engine's open-day record count; any
+// backpressure rejections must not have split a batch). Waits out any
+// in-flight close, as the v1 format cannot represent one.
+func (e *Engine) CheckpointV1(w io.Writer, openDay []logs.ProxyRecord) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	e.awaitCloseLocked()
+	if e.closed {
+		return ErrClosed
+	}
+	if e.failed != nil {
+		return fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
+	}
+	if uint64(len(openDay)) != e.dayRecords.Load() {
+		return fmt.Errorf("stream: checkpoint v1: caller supplied %d open-day records, engine ingested %d",
+			len(openDay), e.dayRecords.Load())
+	}
+
+	// Re-reduce the records exactly as the ingest path did. Seqs are
+	// re-assigned densely from 1 — the builder's order-sensitive state
+	// depends only on relative order, which matches arrival order here, and
+	// every seq stays at or below the header watermark because each record
+	// consumed one live seq.
+	var items []checkpointItem
+	for i := range openDay {
+		v, folded, outcome := normalize.ReduceProxyRecord(openDay[i], e.leases)
+		seq := uint64(i + 1)
+		switch outcome {
+		case normalize.ProxyDroppedIPLiteral:
+		case normalize.ProxyDroppedUnresolved:
+			items = append(items, checkpointItem{Seq: seq, Domain: folded})
+		default:
+			vv := v
+			items = append(items, checkpointItem{Seq: seq, Visit: &vv})
+		}
+	}
+
+	hdr := e.headerLocked()
+	hdr.Version = checkpointVersionV1
+	dailies := e.dailiesLocked()
+	hdr.Dailies = len(dailies)
+	hdr.Items = len(items)
+
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(hdr); err != nil {
+		return fmt.Errorf("stream: checkpoint header: %w", err)
+	}
+	if err := e.hist.SaveTo(bw); err != nil {
+		return fmt.Errorf("stream: checkpoint history: %w", err)
+	}
+	if err := enc.Encode(e.pipe.ExportCalibration()); err != nil {
+		return fmt.Errorf("stream: checkpoint calibration: %w", err)
+	}
+	for _, cd := range dailies {
+		if err := enc.Encode(cd); err != nil {
+			return fmt.Errorf("stream: checkpoint daily %s: %w", cd.Date, err)
+		}
+	}
+	for _, it := range items {
+		if err := enc.Encode(it); err != nil {
+			return fmt.Errorf("stream: checkpoint item: %w", err)
+		}
+	}
+	return bw.Flush()
 }
 
 func ingestChunks(t *testing.T, e *Engine, recs []logs.ProxyRecord) {

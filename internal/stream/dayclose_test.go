@@ -102,8 +102,14 @@ func TestIngestDuringSlowDayClose(t *testing.T) {
 	if st.Closing != "" {
 		t.Fatalf("Stats.Closing = %q after completion, want empty", st.Closing)
 	}
-	if st.LastDayCloseMillis < 0 || st.LastRolloverPauseMicros < 0 {
+	if st.LastDayCloseMicros < 0 || st.LastRolloverPauseMicros < 0 {
 		t.Fatalf("negative close metrics: %+v", st)
+	}
+	// Durations are in µs, so a close and a checkpoint that each took well
+	// under a millisecond still read nonzero.
+	if st.LastDayCloseMicros == 0 || st.LastCheckpointMicros == 0 {
+		t.Fatalf("completed close/checkpoint report zero duration: close %dµs, checkpoint %dµs",
+			st.LastDayCloseMicros, st.LastCheckpointMicros)
 	}
 }
 

@@ -567,12 +567,14 @@ type Engine struct {
 	lastSwap     time.Duration
 	lastCloseDur time.Duration
 	// commitGate orders checkpoint encoding against the state-mutating tail
-	// of a day-close: a checkpoint holds the read side for the duration of
-	// its encode (which runs without mu, so ingestion proceeds), and the
+	// of a day-close: a checkpoint holds the read side while it writes the
+	// sections a commit can change — history, calibration and the closing
+	// day's snapshot — and releases it before encoding the open day from
+	// its private clones (all of it without mu, so ingestion proceeds). The
 	// close's pre-commit hook takes the write side before the pipeline
 	// mutates history or calibration state. The pure analytics of a close
 	// therefore overlap checkpoint encoding freely; only the short commit
-	// tail waits.
+	// tail waits, and only for the committed sections.
 	commitGate sync.RWMutex
 	// lastCkptBytes/lastCkptMicros record the most recent successful
 	// checkpoint's encoded size and duration (written without mu).
@@ -1329,9 +1331,9 @@ type Stats struct {
 	// rollover — the ingest stall, which swap-and-continue keeps at the
 	// shard buffer swap rather than the pipeline run.
 	LastRolloverPauseMicros int64 `json:"lastRolloverPauseMicros"`
-	// LastDayCloseMillis is the duration of the last completed background
+	// LastDayCloseMicros is the duration of the last completed background
 	// pipeline run.
-	LastDayCloseMillis int64 `json:"lastDayCloseMillis"`
+	LastDayCloseMicros int64 `json:"lastDayCloseMicros"`
 
 	// Checkpoint observability. ResidentBuilderDomains sums the shards'
 	// builder domains — the open day's total resident state, which replaced
@@ -1339,7 +1341,7 @@ type Stats struct {
 	// describe the most recent successful checkpoint.
 	ResidentBuilderDomains int   `json:"residentBuilderDomains"`
 	LastCheckpointBytes    int64 `json:"lastCheckpointBytes"`
-	LastCheckpointMillis   int64 `json:"lastCheckpointMillis"`
+	LastCheckpointMicros   int64 `json:"lastCheckpointMicros"`
 
 	// Preview observability: the duration of the last completed live
 	// preview and the number of suspicious domains it surfaced.
@@ -1387,9 +1389,9 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 		Dates:                   append([]string(nil), e.dates...),
 		Shards:                  make([]ShardStats, len(e.shards)),
 		LastRolloverPauseMicros: e.lastSwap.Microseconds(),
-		LastDayCloseMillis:      e.lastCloseDur.Milliseconds(),
+		LastDayCloseMicros:      e.lastCloseDur.Microseconds(),
 		LastCheckpointBytes:     e.lastCkptBytes.Load(),
-		LastCheckpointMillis:    e.lastCkptMicros.Load() / 1000,
+		LastCheckpointMicros:    e.lastCkptMicros.Load(),
 		LastPreviewMillis:       e.lastPreviewMicros.Load() / 1000,
 		PreviewCandidates:       e.lastPreviewCandidates.Load(),
 	}
