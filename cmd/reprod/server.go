@@ -379,7 +379,7 @@ func (s *server) writeCheckpoint() error {
 // (or the engine shuts down), publishing the provisional findings as alert
 // events. A preview that fails for any reason other than "no day open"
 // raises a health alert — the SOC should know its early-warning feed went
-// dark. The loop drives /stats freshness too (lastPreviewMillis,
+// dark. The loop drives /stats freshness too (lastPreviewMicros,
 // previewCandidates); GET /preview remains on-demand and independent.
 func (s *server) runPreviewLoop(interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)

@@ -509,3 +509,17 @@ func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 	s.buildHostRare()
 	return s, nil
 }
+
+// buildHostRare derives HostRare from Rare for a snapshot read back from a
+// checkpoint; the snapshot builders index the rare hosts while classifying.
+func (s *Snapshot) buildHostRare() {
+	for d, da := range s.Rare {
+		for h := range da.Hosts {
+			//lint:ignore maporder every HostRare bucket is sorted immediately below
+			s.HostRare[h] = append(s.HostRare[h], d)
+		}
+	}
+	for h := range s.HostRare {
+		sort.Strings(s.HostRare[h])
+	}
+}

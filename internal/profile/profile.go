@@ -25,6 +25,18 @@ import (
 // a shared lock and updates an exclusive one. The streaming engine relies
 // on this — a background day-close commits yesterday into the history
 // while the ingest shards consult SeenDomain for today's records.
+//
+// The snapshot builders' classifier holds the read lock for a merge
+// worker's whole share of a day rather than per domain. That never stalls
+// anyone: a sync.RWMutex blocks new readers only behind a waiting writer,
+// and no writer can be waiting during a merge. The only writers are a
+// streaming day-close's commit tail and checkpoint restore. A close commits
+// after its own merge and after taking the engine's commit gate, and
+// closes are strictly serialized, so no commit overlaps a close's merge; a
+// live preview holds the commit gate's read side across its merge, so a
+// commit waits at the gate, not at this lock; restore runs before the
+// engine starts. Shard SeenDomain readers therefore share the lock with a
+// merging classifier without blocking.
 type History struct {
 	mu      sync.RWMutex
 	domains map[string]time.Time       // folded domain -> first day seen

@@ -3,6 +3,7 @@ package profile
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -339,35 +340,110 @@ func (b *IncrementalBuilder) Visits() int { return b.visits }
 // Domains returns how many distinct domains the partition has seen.
 func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
 
-// classifyAgg runs the rare-destination selection (§III-A) for one
-// domain's complete aggregate: new (absent from the history) and unpopular
-// (fewer than unpopularThreshold distinct hosts). Rare domains get their
-// per-host timestamps sorted into time order here — the only place the
-// arrival ordering the builder didn't preserve is needed, and only for the
-// day's few rare survivors.
-func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThreshold int) (isNew bool, da *DomainActivity) {
-	if hist.SeenDomain(domain) {
-		return false, nil
+// classifiedShare is one worker's share of a day's rare-destination
+// selection.
+type classifiedShare struct {
+	// domains lists every domain of the share, in no particular order: it
+	// has set semantics, and its consumers fold it into maps or sort it
+	// before emitting (Snapshot.SaveTo).
+	domains []string
+	newCnt  int
+	rare    []*DomainActivity
+	// hostRare is the share's slice of the host → rare-domains index
+	// (host_rdom), its lists unsorted until assembly.
+	hostRare map[string][]string
+}
+
+// classifyShare runs the rare-destination selection (§III-A) over one
+// worker's share of a day's complete per-domain aggregates, which each
+// hands to yield one at a time: a domain is new if absent from the history
+// and rare if additionally contacted by fewer than unpopularThreshold
+// distinct hosts. Each rare survivor gets its per-host timestamps sorted
+// into time order — the only place the arrival ordering the builder didn't
+// preserve is needed — and is entered into the share's host index in the
+// same walk over its hosts. n sizes the domain list.
+//
+// The history's read lock is taken once for the whole share rather than
+// once per domain; see History for why holding it that long stalls no one.
+func classifyShare(n int, hist *History, unpopularThreshold int, each func(yield func(domain string, a *incrementalAgg))) classifiedShare {
+	c := classifiedShare{domains: make([]string, 0, n), hostRare: make(map[string][]string)}
+	hist.mu.RLock()
+	defer hist.mu.RUnlock()
+	each(func(d string, a *incrementalAgg) {
+		c.domains = append(c.domains, d)
+		if _, seen := hist.domains[d]; seen {
+			return
+		}
+		c.newCnt++
+		if len(a.hosts) >= unpopularThreshold {
+			return
+		}
+		da := &DomainActivity{Domain: d, Hosts: a.hosts, IP: a.ip, Paths: a.pathSet()}
+		for h, ha := range da.Hosts {
+			if !slices.IsSortedFunc(ha.Times, time.Time.Compare) {
+				slices.SortFunc(ha.Times, time.Time.Compare)
+			}
+			//lint:ignore maporder every HostRare list is sorted at assembly (assembleSnapshot)
+			c.hostRare[h] = append(c.hostRare[h], d)
+		}
+		c.rare = append(c.rare, da)
+	})
+	return c
+}
+
+// assembleSnapshot unions the workers' classified shares, which hold
+// disjoint domain sets, into the day snapshot. The shares are taken in
+// index order, and every list whose order could depend on the map
+// iteration inside a share is sorted here (HostRare) or carries set
+// semantics (domains), so the snapshot is independent of the worker count.
+func assembleSnapshot(day time.Time, shares []classifiedShare, uaPairs []map[[2]string]bool) *Snapshot {
+	s := &Snapshot{Day: day}
+	nRare, nDomains, nPairs := 0, 0, 0
+	for i := range shares {
+		nRare += len(shares[i].rare)
+		nDomains += len(shares[i].domains)
+		s.NewDomains += shares[i].newCnt
 	}
-	if len(a.hosts) >= unpopularThreshold {
-		return true, nil
+	s.AllDomains = nDomains
+	s.domains = make([]string, 0, nDomains)
+	for i := range shares {
+		s.domains = append(s.domains, shares[i].domains...)
 	}
-	da = &DomainActivity{Domain: domain, Hosts: a.hosts, IP: a.ip, Paths: a.pathSet()}
-	for _, ha := range da.Hosts {
-		sort.Slice(ha.Times, func(i, j int) bool { return ha.Times[i].Before(ha.Times[j]) })
+	s.Rare = make(map[string]*DomainActivity, nRare)
+	s.HostRare = shares[0].hostRare
+	for i := range shares {
+		for _, da := range shares[i].rare {
+			s.Rare[da.Domain] = da
+		}
+		if i == 0 {
+			continue
+		}
+		for h, ds := range shares[i].hostRare {
+			//lint:ignore maporder every HostRare list is sorted immediately below
+			s.HostRare[h] = append(s.HostRare[h], ds...)
+		}
 	}
-	return true, da
+	for h := range s.HostRare {
+		sort.Strings(s.HostRare[h])
+	}
+	for _, m := range uaPairs {
+		nPairs = max(nPairs, len(m))
+	}
+	s.uaPairs = make(map[[2]string]bool, nPairs)
+	for _, m := range uaPairs {
+		for pair := range m {
+			s.uaPairs[pair] = true
+		}
+	}
+	return s
 }
 
 // snapPart is one partition of the day's domains in the batch snapshot
 // build: every domain is owned by exactly one partition, aggregated by an
 // IncrementalBuilder and classified in place.
 type snapPart struct {
-	b *IncrementalBuilder
-	// Classification results, filled by classify.
-	domains []string
-	newCnt  int
-	rare    map[string]*DomainActivity
+	b     *IncrementalBuilder
+	share classifiedShare // filled by classify
 }
 
 func newSnapPart() *snapPart {
@@ -377,19 +453,11 @@ func newSnapPart() *snapPart {
 // classify runs the rare-destination selection over the partition's
 // domains; the expensive per-host sorts therefore also run per partition.
 func (p *snapPart) classify(hist *History, unpopularThreshold int) {
-	p.domains = make([]string, 0, len(p.b.perDomain))
-	p.rare = make(map[string]*DomainActivity)
-	for d, a := range p.b.perDomain {
-		//lint:ignore maporder p.domains has set semantics; consumers fold it into maps or sort before emitting (Snapshot.SaveTo)
-		p.domains = append(p.domains, d)
-		isNew, da := classifyAgg(d, a, hist, unpopularThreshold)
-		if isNew {
-			p.newCnt++
+	p.share = classifyShare(len(p.b.perDomain), hist, unpopularThreshold, func(yield func(string, *incrementalAgg)) {
+		for d, a := range p.b.perDomain {
+			yield(d, a)
 		}
-		if da != nil {
-			p.rare[d] = da
-		}
-	}
+	})
 }
 
 // addRuns feeds visits (all of them when idx is nil, else the selected
@@ -481,41 +549,12 @@ func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpo
 		wg.Wait()
 	}
 
-	// Ordered merge: partitions hold disjoint domain sets, so the merge is
-	// pure set union; iterating parts in index order keeps it deterministic
-	// (the maps themselves are order-free, and every ordered consumer of
-	// the snapshot sorts).
-	s := &Snapshot{
-		Day:      day,
-		Rare:     make(map[string]*DomainActivity),
-		HostRare: make(map[string][]string),
-		uaPairs:  make(map[[2]string]bool),
+	shares := make([]classifiedShare, len(parts))
+	uaPairs := make([]map[[2]string]bool, len(parts))
+	for i, p := range parts {
+		shares[i], uaPairs[i] = p.share, p.b.uaPairs
 	}
-	for _, p := range parts {
-		s.AllDomains += len(p.b.perDomain)
-		s.NewDomains += p.newCnt
-		s.domains = append(s.domains, p.domains...)
-		for d, da := range p.rare {
-			s.Rare[d] = da
-		}
-		for pair := range p.b.uaPairs {
-			s.uaPairs[pair] = true
-		}
-	}
-	s.buildHostRare()
-	return s
-}
-
-func (s *Snapshot) buildHostRare() {
-	for d, da := range s.Rare {
-		for h := range da.Hosts {
-			//lint:ignore maporder every HostRare bucket is sorted immediately below
-			s.HostRare[h] = append(s.HostRare[h], d)
-		}
-	}
-	for h := range s.HostRare {
-		sort.Strings(s.HostRare[h])
-	}
+	return assembleSnapshot(day, shares, uaPairs)
 }
 
 // MergeSnapshot is MergeSnapshotParallel with a single merge worker.
@@ -558,7 +597,20 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 		domain string
 		agg    *incrementalAgg
 	}
+	entries := 0
+	for _, p := range parts {
+		entries += len(p.perDomain)
+	}
+	// A worker's hash share of the entries stays close to the mean; the
+	// slack absorbs the deviation without regrowing the bucket.
+	est := entries / workers
+	if workers > 1 {
+		est += est / 8
+	}
 	buckets := make([][]partAgg, workers)
+	for w := range buckets {
+		buckets[w] = make([]partAgg, 0, est)
+	}
 	for _, p := range parts {
 		for d, a := range p.perDomain {
 			w := 0
@@ -572,88 +624,56 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 
 	// Each merge worker combines overlapping aggregates copy-on-write and
 	// classifies — so the per-host sorts of the rare survivors fan out too.
-	type mergeRes struct {
-		domains []string
-		newCnt  int
-		rare    map[string]*DomainActivity
+	// A merged entry still aliasing a part's aggregate is marked adopted; a
+	// second occurrence of the domain forces a private copy so no builder
+	// state is mutated by the merge.
+	type mergeEnt struct {
+		agg     *incrementalAgg
+		adopted bool
 	}
-	mergeBucket := func(bucket []partAgg) mergeRes {
-		merged := make(map[string]*incrementalAgg, len(bucket))
-		// adopted marks merged entries that still alias a part's aggregate;
-		// a second occurrence of the domain forces a private copy so no
-		// builder state is mutated by the merge.
-		adopted := make(map[string]bool)
+	mergeBucket := func(bucket []partAgg) classifiedShare {
+		merged := make(map[string]mergeEnt, len(bucket))
 		for _, e := range bucket {
 			m, ok := merged[e.domain]
 			if !ok {
-				merged[e.domain] = e.agg
-				adopted[e.domain] = true
+				merged[e.domain] = mergeEnt{agg: e.agg, adopted: true}
 				continue
 			}
-			if adopted[e.domain] {
-				priv := &incrementalAgg{hosts: make(map[string]*HostActivity, len(m.hosts))}
-				priv.mergeFrom(m)
-				merged[e.domain] = priv
-				adopted[e.domain] = false
-				m = priv
+			if m.adopted {
+				priv := &incrementalAgg{hosts: make(map[string]*HostActivity, len(m.agg.hosts))}
+				priv.mergeFrom(m.agg)
+				m = mergeEnt{agg: priv}
+				merged[e.domain] = m
 			}
-			m.mergeFrom(e.agg)
+			m.agg.mergeFrom(e.agg)
 		}
-		res := mergeRes{
-			domains: make([]string, 0, len(merged)),
-			rare:    make(map[string]*DomainActivity),
-		}
-		for d, a := range merged {
-			//lint:ignore maporder res.domains has set semantics; consumers fold it into maps or sort before emitting (Snapshot.SaveTo)
-			res.domains = append(res.domains, d)
-			isNew, da := classifyAgg(d, a, hist, unpopularThreshold)
-			if isNew {
-				res.newCnt++
+		return classifyShare(len(merged), hist, unpopularThreshold, func(yield func(string, *incrementalAgg)) {
+			for d, m := range merged {
+				yield(d, m.agg)
 			}
-			if da != nil {
-				res.rare[d] = da
-			}
-		}
-		return res
+		})
 	}
 
-	results := make([]mergeRes, workers)
+	shares := make([]classifiedShare, workers)
 	if workers <= 1 {
-		results[0] = mergeBucket(buckets[0])
+		shares[0] = mergeBucket(buckets[0])
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				results[w] = mergeBucket(buckets[w])
+				shares[w] = mergeBucket(buckets[w])
 			}(w)
 		}
 		wg.Wait()
 	}
 
-	s := &Snapshot{
-		Day:      day,
-		Rare:     make(map[string]*DomainActivity),
-		HostRare: make(map[string][]string),
-		uaPairs:  make(map[[2]string]bool),
+	uaPairs := make([]map[[2]string]bool, len(parts))
+	for i, p := range parts {
+		uaPairs[i] = p.uaPairs
 	}
-	for i := range results {
-		r := &results[i]
-		s.AllDomains += len(r.domains)
-		s.NewDomains += r.newCnt
-		s.domains = append(s.domains, r.domains...)
-		for d, da := range r.rare {
-			s.Rare[d] = da
-		}
-	}
-	for _, p := range parts {
-		for pair := range p.uaPairs {
-			s.uaPairs[pair] = true
-		}
-	}
-	s.buildHostRare()
-	return s
+	return assembleSnapshot(day, shares, uaPairs)
 }
 
 // domainPartition hashes a domain onto a partition (FNV-1a). Any stable

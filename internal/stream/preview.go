@@ -3,7 +3,7 @@ package stream
 import (
 	"time"
 
-	"repro/internal/normalize"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/report"
 )
@@ -53,11 +53,36 @@ type PreviewReport struct {
 //
 // Returns ErrClosed on a closed engine and ErrNoDay when no day is open.
 func (e *Engine) Preview(workers int) (PreviewReport, error) {
+	rep, records, start, err := e.previewDay(workers)
+	if err != nil {
+		return PreviewReport{}, err
+	}
+	daily := report.Build(rep)
+	pr := PreviewReport{
+		Date:           daily.Date,
+		GeneratedAt:    start.UTC(),
+		DurationMillis: time.Since(start).Milliseconds(),
+		Records:        records,
+		NewDomains:     rep.NewCount,
+		Calibrating:    rep.Calibrating,
+		Report:         daily,
+	}
+	e.lastPreviewMicros.Store(time.Since(start).Microseconds())
+	e.lastPreviewCandidates.Store(int64(len(daily.Domains)))
+	return pr, nil
+}
+
+// previewDay is Preview up to the pipeline report: it freezes the open
+// day, builds the day statistics exactly as a close would (dayStats), and
+// runs the pure stages over the clone. It returns the report, the records
+// the frozen day held, and when the freeze began.
+func (e *Engine) previewDay(workers int) (pipeline.EnterpriseDayReport, uint64, time.Time, error) {
+	var none pipeline.EnterpriseDayReport
 	e.mu.Lock()
 	for {
 		if e.closed {
 			e.mu.Unlock()
-			return PreviewReport{}, ErrClosed
+			return none, 0, time.Time{}, ErrClosed
 		}
 		c := e.closing
 		if c == nil || c.phase != closeCommitting {
@@ -75,7 +100,7 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	}
 	if e.day.IsZero() {
 		e.mu.Unlock()
-		return PreviewReport{}, ErrNoDay
+		return none, 0, time.Time{}, ErrNoDay
 	}
 
 	start := time.Now()
@@ -108,44 +133,16 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	e.mu.Unlock()
 	defer e.commitGate.RUnlock()
 
-	// Build the day statistics exactly as runDayClose would.
-	all := make(map[string]struct{})
-	for _, set := range alls {
-		for d := range set {
-			all[d] = struct{}{}
-		}
+	unresolved := 0
+	for _, n := range unres {
+		unresolved += n
 	}
-	unresolved, kept := 0, 0
-	for i, p := range parts {
-		unresolved += unres[i]
-		kept += p.Visits()
-	}
-	stats := normalize.ProxyStats{
-		Records:           int(records),
-		DomainsAll:        len(all),
-		DroppedIPLiteral:  int(droppedIP),
-		DroppedUnresolved: unresolved,
-		Kept:              kept,
-	}
+	stats := dayStats(records, droppedIP, unresolved, parts, alls)
 
 	pcfg := e.pipe.Config()
 	if workers == 0 {
 		workers = pcfg.Workers
 	}
 	snap := profile.MergeSnapshotParallel(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
-	rep := e.pipe.PreviewSnapshot(day, snap, stats, workers)
-	daily := report.Build(rep)
-
-	pr := PreviewReport{
-		Date:           daily.Date,
-		GeneratedAt:    start.UTC(),
-		DurationMillis: time.Since(start).Milliseconds(),
-		Records:        records,
-		NewDomains:     rep.NewCount,
-		Calibrating:    rep.Calibrating,
-		Report:         daily,
-	}
-	e.lastPreviewMicros.Store(time.Since(start).Microseconds())
-	e.lastPreviewCandidates.Store(int64(len(daily.Domains)))
-	return pr, nil
+	return e.pipe.PreviewSnapshot(day, snap, stats, workers), records, start, nil
 }

@@ -1142,35 +1142,21 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 	return c, nil
 }
 
-// runDayClose is the background half of a rollover: merge the swapped
-// per-shard partial snapshots (an O(domains) union + classification, not
-// an O(visits log visits) re-reduce of the day), run the batch pipeline
-// path on the prebuilt snapshot, publish the report. On a pipeline error
-// the merged snapshot and day statistics are retained on e.failed so a
-// later Flush can retry the pipeline without losing the day (the paper's
-// calibration-starvation case). Runs without the engine lock; the shards
-// are already ingesting the next day.
+// runDayClose is the background half of a rollover: count the day's
+// distinct domains across the swapped shards' domain sets (lookups only,
+// see dayStats), merge the per-shard partial snapshots (one pass per
+// merge worker that unions, classifies and indexes the rare hosts —
+// O(domains), not an O(visits log visits) re-reduce of the day), run the
+// batch pipeline path on the prebuilt snapshot, publish the report. On a
+// pipeline error the merged snapshot and day statistics are retained on
+// e.failed so a later Flush can retry the pipeline without losing the day
+// (the paper's calibration-starvation case). Runs without the engine
+// lock; the shards are already ingesting the next day.
 func (e *Engine) runDayClose(c *dayClose) {
 	var mergeDur time.Duration
 	if c.snap == nil {
 		start := time.Now()
-		all := make(map[string]struct{})
-		for _, set := range c.allSets {
-			for d := range set {
-				all[d] = struct{}{}
-			}
-		}
-		kept := 0
-		for _, p := range c.parts {
-			kept += p.Visits()
-		}
-		c.stats = normalize.ProxyStats{
-			Records:           int(c.records),
-			DomainsAll:        len(all),
-			DroppedIPLiteral:  int(c.droppedIP),
-			DroppedUnresolved: c.unresolved,
-			Kept:              kept,
-		}
+		c.stats = dayStats(c.records, c.droppedIP, c.unresolved, c.parts, c.allSets)
 		// The merge classifies against the history with every earlier day
 		// committed — closes are strictly serialized, so the in-order
 		// commit the snapshot's "new domain" judgement depends on holds.
@@ -1251,6 +1237,39 @@ func (e *Engine) runDayClose(c *dayClose) {
 	e.closing = nil
 	e.mu.Unlock()
 	close(c.done)
+}
+
+// dayStats builds a day's normalization statistics from its frozen shard
+// state, identically for a close and a preview. A domain's records can
+// span shards (shards key on the (host, domain) pair, and an unleased
+// record on ("", domain)), so DomainsAll is the size of the union of the
+// shards' domain sets — counted without building it: a domain counts in
+// the first set that holds it, found by looking each key up in the
+// earlier sets.
+func dayStats[V any](records, droppedIP uint64, unresolved int, parts []*profile.IncrementalBuilder, sets []map[string]V) normalize.ProxyStats {
+	distinct := 0
+	for i, set := range sets {
+	keys:
+		for d := range set {
+			for _, earlier := range sets[:i] {
+				if _, ok := earlier[d]; ok {
+					continue keys
+				}
+			}
+			distinct++
+		}
+	}
+	kept := 0
+	for _, p := range parts {
+		kept += p.Visits()
+	}
+	return normalize.ProxyStats{
+		Records:           int(records),
+		DomainsAll:        distinct,
+		DroppedIPLiteral:  int(droppedIP),
+		DroppedUnresolved: unresolved,
+		Kept:              kept,
+	}
 }
 
 // evictOldReportsLocked drops the oldest full day reports beyond the
@@ -1345,7 +1364,7 @@ type Stats struct {
 
 	// Preview observability: the duration of the last completed live
 	// preview and the number of suspicious domains it surfaced.
-	LastPreviewMillis int64 `json:"lastPreviewMillis"`
+	LastPreviewMicros int64 `json:"lastPreviewMicros"`
 	PreviewCandidates int64 `json:"previewCandidates"`
 }
 
@@ -1392,7 +1411,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 		LastDayCloseMicros:      e.lastCloseDur.Microseconds(),
 		LastCheckpointBytes:     e.lastCkptBytes.Load(),
 		LastCheckpointMicros:    e.lastCkptMicros.Load(),
-		LastPreviewMillis:       e.lastPreviewMicros.Load() / 1000,
+		LastPreviewMicros:       e.lastPreviewMicros.Load(),
 		PreviewCandidates:       e.lastPreviewCandidates.Load(),
 	}
 	if !e.day.IsZero() {

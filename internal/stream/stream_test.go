@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/logs"
+	"repro/internal/normalize"
 	"repro/internal/pipeline"
 	"repro/internal/whois"
 )
@@ -101,39 +102,84 @@ func TestAutoRollover(t *testing.T) {
 	}
 }
 
+// TestLeaseResolutionAndMarkers: lease resolution, unresolved markers and
+// IP-literal drops produce exactly the batch reduction's day statistics for
+// any shard count — in particular DomainsAll, the distinct-domain count
+// over the union of the shards' domain sets, when a domain's records span
+// shards (several leased hosts) or exist only as unresolved markers — and
+// a preview of the complete day reports the same statistics as its close.
 func TestLeaseResolutionAndMarkers(t *testing.T) {
-	e := trainOnlyEngine(Config{Shards: 2})
-	defer e.Close()
 	leases := map[netip.Addr]string{netip.MustParseAddr("10.0.0.7"): "lease-host"}
-	if err := e.BeginDay(testDay(), leases); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 6; i++ {
+		leases[netip.AddrFrom4([4]byte{10, 0, 1, byte(i)})] = fmt.Sprintf("spread-host-%d", i)
 	}
-	known := logs.ProxyRecord{Time: testDay(), SrcIP: netip.MustParseAddr("10.0.0.7"),
-		Domain: "gamma.test", Method: "GET", Status: 200}
-	unknown := logs.ProxyRecord{Time: testDay(), SrcIP: netip.MustParseAddr("10.9.9.9"),
-		Domain: "delta.test", Method: "GET", Status: 200}
-	ipLit := logs.ProxyRecord{Time: testDay(), SrcIP: netip.MustParseAddr("10.0.0.7"),
-		Domain: "93.184.216.34", Method: "GET", Status: 200}
-	for _, r := range []logs.ProxyRecord{known, unknown, ipLit} {
-		if err := e.IngestProxy(r); err != nil {
-			t.Fatal(err)
+	at := func(src, domain string) logs.ProxyRecord {
+		return logs.ProxyRecord{Time: testDay(), SrcIP: netip.MustParseAddr(src), Domain: domain, Method: "GET", Status: 200}
+	}
+	known := at("10.0.0.7", "gamma.test")
+	unknown := at("10.9.9.9", "delta.test")
+	ipLit := at("10.0.0.7", "93.184.216.34")
+	// spread.test is visited by every spread host — so with several
+	// shards its (host, domain) pairs land on different shards — and also
+	// requested from an unleased source.
+	var spread []logs.ProxyRecord
+	for i := 0; i < 6; i++ {
+		spread = append(spread, at(fmt.Sprintf("10.0.1.%d", i), "www.spread.test"))
+	}
+	spread = append(spread, at("10.9.9.9", "spread.test"))
+	// marker.test is seen only from unleased sources: it has no builder
+	// aggregate anywhere, only markers.
+	markerOnly := []logs.ProxyRecord{at("10.9.9.9", "marker.test"), at("10.9.9.10", "cdn.marker.test")}
+
+	cases := []struct {
+		name string
+		recs []logs.ProxyRecord
+	}{
+		{"lease-unknown-literal", []logs.ProxyRecord{known, unknown, ipLit}},
+		{"domain-spans-shards", append([]logs.ProxyRecord{known}, spread...)},
+		{"marker-only", append([]logs.ProxyRecord{known, ipLit}, markerOnly...)},
+		{"all", append(append([]logs.ProxyRecord{known, unknown, ipLit}, spread...), markerOnly...)},
+	}
+	for _, shards := range []int{1, 3, 8} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				_, want := normalize.ReduceProxy(tc.recs, leases)
+				e := trainOnlyEngine(Config{Shards: shards})
+				defer e.Close()
+				if err := e.BeginDay(testDay(), leases); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range tc.recs {
+					if err := e.IngestProxy(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				preview, _, _, err := e.previewDay(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				rep, ok := e.DayReport("2014-02-03")
+				if !ok {
+					t.Fatal("no report")
+				}
+				if rep.Stats != want {
+					t.Fatalf("close stats = %+v, want the batch reduction's %+v", rep.Stats, want)
+				}
+				if preview.Stats != rep.Stats {
+					t.Fatalf("preview stats = %+v, close stats = %+v", preview.Stats, rep.Stats)
+				}
+			})
 		}
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := e.DayReport("2014-02-03")
-	if !ok {
-		t.Fatal("no report")
-	}
-	want := rep.Stats
-	if want.Records != 3 || want.Kept != 1 || want.DroppedUnresolved != 1 || want.DroppedIPLiteral != 1 {
-		t.Fatalf("stats = %+v", want)
-	}
-	// The unresolved record's domain still counts toward the distinct-
-	// domain statistic, as in batch reduction.
-	if want.DomainsAll != 2 {
-		t.Fatalf("DomainsAll = %d, want 2 (gamma + delta)", want.DomainsAll)
+	// The first case pins the numbers themselves: one kept, one unresolved
+	// (whose domain still counts toward DomainsAll, as in batch reduction),
+	// one IP literal, and two distinct domains (gamma + delta).
+	_, st := normalize.ReduceProxy(cases[0].recs, leases)
+	if st.Records != 3 || st.Kept != 1 || st.DroppedUnresolved != 1 || st.DroppedIPLiteral != 1 || st.DomainsAll != 2 {
+		t.Fatalf("batch stats = %+v", st)
 	}
 }
 
