@@ -335,6 +335,14 @@ func (b *IncrementalBuilder) HasDomain(d string) bool {
 	return ok
 }
 
+// EachDomain calls f with each of the builder's distinct domains, in
+// unspecified order.
+func (b *IncrementalBuilder) EachDomain(f func(domain string)) {
+	for d := range b.perDomain {
+		f(d)
+	}
+}
+
 // DomainNames returns the builder's distinct domains in unspecified order.
 //
 //lint:ignore maporder the contract is explicitly an unordered set; callers that emit must sort

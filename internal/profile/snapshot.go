@@ -491,7 +491,8 @@ func addRuns(b *IncrementalBuilder, visits []logs.Visit, idx []int32) {
 // NewSnapshot classifies the day's visits against the history: a domain is
 // new if absent from the history and rare if additionally contacted by
 // fewer than unpopularThreshold distinct hosts today (§III-A, §IV-A; the
-// paper sets the threshold to 10 on SOC advice).
+// paper sets the threshold to 10 on SOC advice). hist must not be written
+// while the build runs (see NewSnapshotParallel).
 func NewSnapshot(day time.Time, visits []logs.Visit, hist *History, unpopularThreshold int) *Snapshot {
 	return NewSnapshotParallel(day, visits, hist, unpopularThreshold, 1)
 }
@@ -505,6 +506,12 @@ const parallelCutoff = 4096
 // partitioned by hash so each is owned by exactly one worker, and the merge
 // is ordered — the resulting snapshot is identical to the sequential build
 // for any worker count. workers <= 0 uses GOMAXPROCS.
+//
+// hist must not be written (UpdateDomains, Snapshot.Commit, ...) while the
+// build runs: each worker holds hist's read lock for its whole share, so a
+// writer would wait for a whole share and, while it waits, block every
+// other reader of hist. The streaming engine orders its commits after its
+// builds (see History).
 func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpopularThreshold, workers int) *Snapshot {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -575,7 +582,8 @@ func MergeSnapshot(day time.Time, parts []*IncrementalBuilder, hist *History, un
 // The snapshot shares structure with the builders (host maps are adopted,
 // rare per-host timestamps are sorted in place), so the partitions must
 // not absorb further visits once the snapshot is in use; the streaming
-// engine guarantees this by swapping fresh builders in at rollover.
+// engine guarantees this by swapping fresh builders in at rollover. As for
+// NewSnapshotParallel, hist must not be written while the merge runs.
 func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

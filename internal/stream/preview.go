@@ -73,9 +73,9 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 }
 
 // previewDay is Preview up to the pipeline report: it freezes the open
-// day, builds the day statistics exactly as a close would (dayStats), and
-// runs the pure stages over the clone. It returns the report, the records
-// the frozen day held, and when the freeze began.
+// day, merges it and builds the day statistics exactly as a close would
+// (dayStats), and runs the pure stages over the clone. It returns the
+// report, the records the frozen day held, and when the freeze began.
 func (e *Engine) previewDay(workers int) (pipeline.EnterpriseDayReport, uint64, time.Time, error) {
 	var none pipeline.EnterpriseDayReport
 	e.mu.Lock()
@@ -108,18 +108,15 @@ func (e *Engine) previewDay(workers int) (pipeline.EnterpriseDayReport, uint64, 
 	records := e.dayRecords.Load()
 	droppedIP := e.dayDroppedIP.Load()
 
-	// Freeze: clone every shard's partial snapshot and domain set. This is
-	// the whole ingest stall of a preview.
+	// Freeze: clone every shard's partial snapshot and collect the keys of
+	// its domain set that the partial lacks. This is the whole ingest
+	// stall of a preview.
 	parts := make([]*profile.IncrementalBuilder, len(e.shards))
-	alls := make([]map[string]struct{}, len(e.shards))
+	markers := make([][]string, len(e.shards))
 	unres := make([]int, len(e.shards))
 	e.quiesce(func(i int, s *shard) {
 		parts[i] = s.part.Clone()
-		cp := make(map[string]struct{}, len(s.domains))
-		for d := range s.domains {
-			cp[d] = struct{}{}
-		}
-		alls[i] = cp
+		markers[i] = appendMarkers(nil, s.domains, s.part)
 		unres[i] = s.unresolved
 	})
 
@@ -134,15 +131,20 @@ func (e *Engine) previewDay(workers int) (pipeline.EnterpriseDayReport, uint64, 
 	defer e.commitGate.RUnlock()
 
 	unresolved := 0
-	for _, n := range unres {
+	var allMarkers []string
+	for i, n := range unres {
 		unresolved += n
+		allMarkers = append(allMarkers, markers[i]...)
 	}
-	stats := dayStats(records, droppedIP, unresolved, parts, alls)
 
 	pcfg := e.pipe.Config()
 	if workers == 0 {
 		workers = pcfg.Workers
 	}
+	if e.previewHook != nil {
+		e.previewHook()
+	}
 	snap := profile.MergeSnapshotParallel(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
+	stats := dayStats(records, droppedIP, unresolved, parts, allMarkers, snap)
 	return e.pipe.PreviewSnapshot(day, snap, stats, workers), records, start, nil
 }

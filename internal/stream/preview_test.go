@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 )
@@ -199,5 +201,111 @@ func TestPreviewErrors(t *testing.T) {
 	}
 	if _, err := e.Preview(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
+	}
+}
+
+// TestPreviewMergeHoldsCommitAtGate pins the ordering that lets a merge
+// hold the history's read lock for a worker's whole share (see
+// profile.History): while a preview is in its merge, a day-close commit
+// waits at the commit gate, not at the history's lock, so history readers
+// such as the shards' SeenDomain keep running.
+func TestPreviewMergeHoldsCommitAtGate(t *testing.T) {
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer e.Close()
+	closeMerged, releaseClose := make(chan struct{}), make(chan struct{})
+	e.closeHook = func(date string) {
+		if date != "2014-02-03" {
+			return
+		}
+		close(closeMerged)
+		<-releaseClose
+	}
+	previewParked, releasePreview := make(chan struct{}), make(chan struct{})
+	e.previewHook = func() {
+		close(previewParked)
+		<-releasePreview
+	}
+
+	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
+	if err := e.BeginDay(d1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := e.IngestProxy(rec(d1, fmt.Sprintf("h%d", i%3), fmt.Sprintf("d%d.test", i%4), time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.BeginDay(d2, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-closeMerged // day 1's close has merged and is parked before its pipeline
+	e.mu.Lock()
+	c := e.closing
+	e.mu.Unlock()
+	if err := e.IngestProxy(rec(d2, "h1", "beta.test", time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	epoch := e.hist.Epoch()
+
+	type previewResult struct {
+		records uint64
+		err     error
+	}
+	previewDone := make(chan previewResult, 1)
+	go func() {
+		_, records, _, err := e.previewDay(0)
+		previewDone <- previewResult{records, err}
+	}()
+	<-previewParked // the preview holds the commit gate's read side
+	close(releaseClose)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e.mu.Lock()
+		committing := c.phase == closeCommitting
+		e.mu.Unlock()
+		if committing {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(releasePreview)
+			t.Fatal("the close never reached its commit tail")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Give the close time to get past the gate if it could.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-c.done:
+		t.Fatal("the close finished while a preview held the commit gate")
+	default:
+	}
+	if e.hist.Epoch() != epoch {
+		t.Fatal("the close committed to the history while a preview held the commit gate")
+	}
+	read := make(chan bool, 1)
+	go func() { read <- e.hist.SeenDomain("d0.test") }()
+	select {
+	case seen := <-read:
+		if seen {
+			t.Fatal("day 1's domains are in the history before its commit")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a history read blocked while the close waited: it is waiting at the history's lock")
+	}
+
+	// The preview now merges under the gate while the commit waits at it.
+	close(releasePreview)
+	res := <-previewDone
+	if res.err != nil || res.records != 1 {
+		t.Fatalf("preview = %d records, %v; want 1 record", res.records, res.err)
+	}
+	select {
+	case <-c.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the close did not commit after the preview released the gate")
+	}
+	if e.hist.Epoch() == epoch || !e.hist.SeenDomain("d0.test") {
+		t.Fatal("day 1 was not committed to the history")
 	}
 }

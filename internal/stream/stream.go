@@ -588,6 +588,9 @@ type Engine struct {
 	// closeHook is Config.CloseHook (settable directly by in-package tests
 	// before the engine starts rolling days).
 	closeHook func(date string)
+	// previewHook, when set by in-package tests, runs in a preview just
+	// before its merge, with the commit gate's read side held.
+	previewHook func()
 }
 
 // closePhase tracks where an in-flight day-close is, for the checkpoint
@@ -1142,12 +1145,12 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 	return c, nil
 }
 
-// runDayClose is the background half of a rollover: count the day's
-// distinct domains across the swapped shards' domain sets (lookups only,
-// see dayStats), merge the per-shard partial snapshots (one pass per
-// merge worker that unions, classifies and indexes the rare hosts —
-// O(domains), not an O(visits log visits) re-reduce of the day), run the
-// batch pipeline path on the prebuilt snapshot, publish the report. On a
+// runDayClose is the background half of a rollover: merge the per-shard
+// partial snapshots (one pass per merge worker that unions, classifies
+// and indexes the rare hosts — O(domains), not an O(visits log visits)
+// re-reduce of the day), count the day's distinct domains from the merge
+// and the shards' marker-only keys (see dayStats), run the batch pipeline
+// path on the prebuilt snapshot, publish the report. On a
 // pipeline error the merged snapshot and day statistics are retained on
 // e.failed so a later Flush can retry the pipeline without losing the day
 // (the paper's calibration-starvation case). Runs without the engine
@@ -1156,12 +1159,16 @@ func (e *Engine) runDayClose(c *dayClose) {
 	var mergeDur time.Duration
 	if c.snap == nil {
 		start := time.Now()
-		c.stats = dayStats(c.records, c.droppedIP, c.unresolved, c.parts, c.allSets)
 		// The merge classifies against the history with every earlier day
 		// committed — closes are strictly serialized, so the in-order
 		// commit the snapshot's "new domain" judgement depends on holds.
 		pcfg := e.pipe.Config()
 		c.snap = profile.MergeSnapshotParallel(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
+		var markers []string
+		for i, set := range c.allSets {
+			markers = appendMarkers(markers, set, c.parts[i])
+		}
+		c.stats = dayStats(c.records, c.droppedIP, c.unresolved, c.parts, markers, c.snap)
 		c.parts, c.allSets = nil, nil // the snapshot owns their structure now
 		mergeDur = time.Since(start)
 		// The merge window ends: from here until the commit tail the close's
@@ -1239,25 +1246,45 @@ func (e *Engine) runDayClose(c *dayClose) {
 	close(c.done)
 }
 
-// dayStats builds a day's normalization statistics from its frozen shard
-// state, identically for a close and a preview. A domain's records can
-// span shards (shards key on the (host, domain) pair, and an unleased
-// record on ("", domain)), so DomainsAll is the size of the union of the
-// shards' domain sets — counted without building it: a domain counts in
-// the first set that holds it, found by looking each key up in the
-// earlier sets.
-func dayStats[V any](records, droppedIP uint64, unresolved int, parts []*profile.IncrementalBuilder, sets []map[string]V) normalize.ProxyStats {
-	distinct := 0
-	for i, set := range sets {
-	keys:
-		for d := range set {
-			for _, earlier := range sets[:i] {
-				if _, ok := earlier[d]; ok {
-					continue keys
-				}
-			}
-			distinct++
+// appendMarkers appends to dst the keys of a shard's domain set that have
+// no visit state in the shard's partial snapshot: the domains the shard
+// saw only in unresolved records. Every domain of the partial is also in
+// the set (applyRun enters a domain in the set before its first visit,
+// and a restore enters every restored builder domain), so a set no larger
+// than its partial holds no markers and is not walked.
+func appendMarkers(dst []string, set map[string]*domainState, part *profile.IncrementalBuilder) []string {
+	if len(set) == part.Domains() {
+		return dst
+	}
+	for d := range set {
+		if !part.HasDomain(d) {
+			//lint:ignore maporder markers have set semantics; dayStats only counts them, through a map
+			dst = append(dst, d)
 		}
+	}
+	return dst
+}
+
+// dayStats builds a day's normalization statistics from its frozen shard
+// state and merged snapshot, identically for a close and a preview.
+// DomainsAll is the size of the union of the shards' domain sets. A
+// domain's records can span shards (shards key on the (host, domain) pair,
+// an unleased record on ("", domain)), so the union is counted without
+// building it, in O(domains) at any shard count: the merge has already
+// counted the distinct domains with visit state (snap.AllDomains), and of
+// the shards' markers (appendMarkers) only those that no part holds add
+// to it, each once. Only markers go into a map.
+func dayStats(records, droppedIP uint64, unresolved int, parts []*profile.IncrementalBuilder, markers []string, snap *profile.Snapshot) normalize.ProxyStats {
+	distinct := snap.AllDomains
+	if len(markers) > 0 {
+		only := make(map[string]struct{}, len(markers))
+		for _, d := range markers {
+			only[d] = struct{}{}
+		}
+		for _, p := range parts {
+			p.EachDomain(func(d string) { delete(only, d) })
+		}
+		distinct += len(only)
 	}
 	kept := 0
 	for _, p := range parts {

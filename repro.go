@@ -178,14 +178,16 @@ func LoadHistory(r io.Reader) (*History, error) { return profile.LoadHistory(r) 
 
 // NewSnapshot classifies a day's visits against the history; rare domains
 // are new (never in the history) and unpopular (fewer than
-// unpopularThreshold distinct hosts).
+// unpopularThreshold distinct hosts). hist must not be written while the
+// build runs (see NewSnapshotParallel).
 func NewSnapshot(day time.Time, visits []Visit, hist *History, unpopularThreshold int) *Snapshot {
 	return profile.NewSnapshot(day, visits, hist, unpopularThreshold)
 }
 
 // NewSnapshotParallel is NewSnapshot with the per-domain aggregation fanned
 // over a worker pool (0 = GOMAXPROCS); the snapshot is identical to the
-// sequential build for any worker count.
+// sequential build for any worker count. hist must not be written while
+// the build runs: each worker holds its read lock for its whole share.
 func NewSnapshotParallel(day time.Time, visits []Visit, hist *History, unpopularThreshold, workers int) *Snapshot {
 	return profile.NewSnapshotParallel(day, visits, hist, unpopularThreshold, workers)
 }
@@ -201,7 +203,8 @@ func NewIncrementalBuilder() *IncrementalBuilder { return profile.NewIncremental
 
 // MergeSnapshotParallel assembles the day snapshot from partition builders
 // whose domain sets may overlap (disjoint (seq, visit) sets); the result is
-// identical to NewSnapshot over the same visits in seq order.
+// identical to NewSnapshot over the same visits in seq order. As for
+// NewSnapshotParallel, hist must not be written while the merge runs.
 func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	return profile.MergeSnapshotParallel(day, parts, hist, unpopularThreshold, workers)
 }
